@@ -53,6 +53,8 @@ object AutoFJ {
     val nL: Int = data.nLeft
     val nK: Int = thetas.length
 
+    // Nearest-l ties go to the smaller dense index, i.e. the smaller leftId,
+    // as in FuzzyJoinProgram.apply.
     val bestL: Array[Array[Int]] = Array.fill(nF)(Array.fill(nR)(-1))
     val bestD: Array[Array[Float]] = Array.fill(nF)(Array.fill(nR)(Float.MaxValue))
     locally {

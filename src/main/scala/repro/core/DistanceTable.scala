@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.embed.HashEmbedding
 
 /** Per-record structures all 140 join functions read from: the four
@@ -104,8 +104,10 @@ object DistanceTable {
 
   /** One Spark pass over the candidate pairs computing the distance
     * vectors of *all* columns at once (multi-column tasks would otherwise
-    * pay per-column job overhead). Returns one column-major array of
-    * [[PairDist]] per column, all index-aligned.
+    * pay per-column job overhead). Prepped records and the IDF contexts
+    * ride a broadcast; the result is collected (candidate sets are
+    * O((|L|+|R|)·√|L|)). Returns one array of [[PairDist]] per column, all
+    * index-aligned with the rows of `pairs`.
     */
   def computeMulti(
       spark: SparkSession,
@@ -115,49 +117,34 @@ object DistanceTable {
       ctxs: Array[FeatureContext],
   ): Array[Array[PairDist]] = {
     import spark.implicits._
-    val m = ctxs.length
     val bLeft = spark.sparkContext.broadcast(leftCols)
     val bRight = spark.sparkContext.broadcast(rightCols)
     val bCtx = spark.sparkContext.broadcast(ctxs)
-    val rows: Array[(Long, Long, Array[Array[Float]])] = pairs
-      .select("leftId", "rightId")
-      .as[(Long, Long)]
-      .mapPartitions { it =>
-        val lm = bLeft.value; val rm = bRight.value; val cs = bCtx.value
-        it.map { case (lid, rid) =>
-          (lid, rid, Array.tabulate(cs.length)(c => vector(lm(lid)(c), rm(rid)(c), cs(c))))
+    try {
+      val rows: Array[(Long, Long, Array[Array[Float]])] = pairs
+        .select("leftId", "rightId")
+        .as[(Long, Long)]
+        .mapPartitions { it =>
+          val lm = bLeft.value; val rm = bRight.value; val cs = bCtx.value
+          it.map { case (lid, rid) =>
+            (lid, rid, Array.tabulate(cs.length)(c => vector(lm(lid)(c), rm(rid)(c), cs(c))))
+          }
         }
-      }
-      .collect()
-    Array.tabulate(m)(c => rows.map { case (lid, rid, d) => PairDist(lid, rid, d(c)) })
+        .collect()
+      Array.tabulate(ctxs.length)(c => rows.map { case (lid, rid, d) => PairDist(lid, rid, d(c)) })
+    } finally {
+      bLeft.destroy(); bRight.destroy(); bCtx.destroy()
+    }
   }
 
-  /** Spark pass: distance vectors for every (leftId, rightId) row of
-    * `pairs`. Prepped records and the IDF context ride a broadcast; the
-    * result is collected (candidate sets are O((|L|+|R|)·√|L|)).
-    */
+  /** [[computeMulti]] for a single column. */
   def compute(
       spark: SparkSession,
       pairs: DataFrame,
       left: Map[Long, Prepped],
       right: Map[Long, Prepped],
       ctx: FeatureContext,
-  ): Array[PairDist] = {
-    import spark.implicits._
-    val bLeft = spark.sparkContext.broadcast(left)
-    val bRight = spark.sparkContext.broadcast(right)
-    val bCtx = spark.sparkContext.broadcast(ctx)
-    try {
-      val ds: Dataset[PairDist] = pairs
-        .select("leftId", "rightId")
-        .as[(Long, Long)]
-        .mapPartitions { it =>
-          val lm = bLeft.value; val rm = bRight.value; val c = bCtx.value
-          it.map { case (lid, rid) => PairDist(lid, rid, vector(lm(lid), rm(rid), c)) }
-        }
-      ds.collect()
-    } finally {
-      bLeft.destroy(); bRight.destroy(); bCtx.destroy()
-    }
-  }
+  ): Array[PairDist] =
+    computeMulti(spark, pairs, left.view.mapValues(Array(_)).toMap,
+      right.view.mapValues(Array(_)).toMap, Array(ctx))(0)
 }

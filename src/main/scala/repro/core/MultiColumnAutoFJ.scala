@@ -8,10 +8,9 @@ import repro.data.MultiTask
 /** §4: multi-column AutoFJ — Algorithm 3 (forward selection over columns
   * with linear weight blending) on top of the single-column greedy search.
   *
-  * Blocking runs once on the concatenation of all columns; per-column
-  * distance tables are computed in one Spark pass each and aligned by
-  * pair index; candidate weight vectors are evaluated concurrently on the
-  * driver (the search is pure).
+  * Blocking and the index-aligned per-column distance tables come from the
+  * shared [[Prepare]] path; candidate weight vectors are evaluated
+  * concurrently on the driver (the search is pure).
   */
 object MultiColumnAutoFJ {
 
@@ -28,35 +27,10 @@ object MultiColumnAutoFJ {
       selected: Vector[Int],
   )
 
-  /** Block on concatenated columns and compute one aligned distance table
-    * per column.
-    */
+  /** [[Prepare]] over the task's m columns. */
   def prepare(spark: SparkSession, task: MultiTask, beta: Double = 1.0): PreparedMulti = {
-    val m = task.nCols
-    val lConcat = task.left.map { case (id, v) => (id, v.mkString(" ")) }
-    val rConcat = task.right.map { case (id, v) => (id, v.mkString(" ")) }
-    val dfL = SingleColumnPipeline.toDF(spark, lConcat)
-    val dfR = SingleColumnPipeline.toDF(spark, rConcat)
-    val (lrCand, llCand) = Blocking.block(spark, dfL, dfR, beta)
-    // Fixed pair order shared by every column's distance pass.
-    val lrPairs = lrCand.select("leftId", "rightId").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
-    val llPairs = llCand.select("leftId", "rightId").collect()
-      .map(r => (r.getLong(0), r.getLong(1))).sorted.toSeq
-    val lrDf = SingleColumnPipeline.toPairDF(spark, lrPairs)
-    val llDf = SingleColumnPipeline.toPairDF(spark, llPairs)
-
-    val lPrepped = task.left.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
-    val rPrepped = task.right.map { case (id, v) => id -> v.map(Prepped(_)).toArray }.toMap
-    val ctxs = Array.tabulate(m)(c =>
-      FeatureContext.build(lPrepped.values.map(_(c)) ++ rPrepped.values.map(_(c))))
-    // Re-sort each column identically: collect() order is not guaranteed
-    // across jobs, and SearchData.fromColumns needs index alignment.
-    val lrCols = DistanceTable.computeMulti(spark, lrDf, lPrepped, rPrepped, ctxs)
-      .map(_.sortBy(p => (p.leftId, p.rightId)))
-    val llCols = DistanceTable.computeMulti(spark, llDf, lPrepped, lPrepped, ctxs)
-      .map(_.sortBy(p => (p.leftId, p.rightId)))
-    PreparedMulti(task.columns, lrCols, llCols)
+    val t = Prepare(spark, task.nCols, task.left, task.right, beta)
+    PreparedMulti(task.columns, t.lrCols, t.llCols)
   }
 
   /** Algorithm 3. Weight vectors are kept normalized to sum 1 (the blend

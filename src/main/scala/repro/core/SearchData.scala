@@ -3,7 +3,8 @@ package repro.core
 /** Driver-side, struct-of-arrays view of the blocked candidate pairs and
   * their distances, as consumed by the greedy search.
   *
-  * Left records are densely indexed in `lIds`, right records in `rIds`.
+  * Left records are densely indexed in `lIds`, right records in `rIds`,
+  * both in ascending id order.
   * `lrDist(fSlot)(pairIdx)` / `llDist(fSlot)(pairIdx)` hold the distance of
   * the pair under the fSlot-th join function of the searched space (slots
   * align with the `fids` array handed to the search, not with raw function
@@ -50,18 +51,19 @@ object SearchData {
     val cols = lrCols.indices.filter(c => weights(c) != 0.0).toArray
     require(cols.nonEmpty, "at least one column must have non-zero weight")
 
-    val lIdSet = new scala.collection.mutable.LinkedHashSet[Long]
-    lrCols(0).foreach(p => lIdSet += p.leftId)
-    llCols(0).foreach { p => lIdSet += p.leftId; lIdSet += p.rightId }
-    val lIds = lIdSet.toArray
-    val lIdx = lIds.zipWithIndex.toMap
+    // Dense indices follow ascending id order: the search then depends only
+    // on the set of pairs, not their order, and its index-order tie-breaks
+    // go to the smallest id.
+    val lIds = (lrCols(0).iterator.map(_.leftId) ++
+      llCols(0).iterator.flatMap(p => Iterator(p.leftId, p.rightId))).toArray.sorted.distinct
+    val rIds = lrCols(0).map(_.rightId).sorted.distinct
+    def lIdx(id: Long): Int = java.util.Arrays.binarySearch(lIds, id)
+    def rIdx(id: Long): Int = java.util.Arrays.binarySearch(rIds, id)
 
-    val rIdSet = new scala.collection.mutable.LinkedHashSet[Long]
-    lrCols(0).foreach(p => rIdSet += p.rightId)
-    val rIds = rIdSet.toArray
-    val rIdx = rIds.zipWithIndex.toMap
-
-    def combine(colPairs: Array[Array[PairDist]]): (Array[Int], Array[Int], Array[Array[Float]]) = {
+    def combine(
+        colPairs: Array[Array[PairDist]],
+        rightIdx: Long => Int,
+    ): (Array[Int], Array[Int], Array[Array[Float]]) = {
       val n = colPairs(0).length
       cols.foreach(c => require(colPairs(c).length == n, "column pair arrays must be aligned"))
       val left = new Array[Int](n)
@@ -71,7 +73,7 @@ object SearchData {
       while (i < n) {
         val p0 = colPairs(0)(i)
         left(i) = lIdx(p0.leftId)
-        right(i) = -1 // filled below per table kind
+        right(i) = rightIdx(p0.rightId)
         var s = 0
         while (s < fids.length) {
           val f = fids(s)
@@ -90,13 +92,8 @@ object SearchData {
       (left, right, dist)
     }
 
-    val (lrL, lrR, lrD) = combine(lrCols)
-    var i = 0
-    while (i < lrR.length) { lrR(i) = rIdx(lrCols(0)(i).rightId); i += 1 }
-
-    val (llL, llR, llD) = combine(llCols)
-    i = 0
-    while (i < llR.length) { llR(i) = lIdx(llCols(0)(i).rightId); i += 1 }
+    val (lrL, lrR, lrD) = combine(lrCols, rIdx)
+    val (llL, llR, llD) = combine(llCols, lIdx)
 
     new SearchData(lIds, rIds, lrL, lrR, lrD, llL, llR, llD, fids)
   }

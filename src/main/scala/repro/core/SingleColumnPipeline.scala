@@ -3,8 +3,9 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
-/** End-to-end single-column AutoFJ pipeline (§3): blocking, negative rules,
-  * distance tables (Spark), then the greedy search (driver).
+/** End-to-end single-column AutoFJ pipeline (§3): the shared [[Prepare]]
+  * path with m = 1 (blocking, distance tables), negative rules, then the
+  * greedy search (driver).
   */
 object SingleColumnPipeline {
 
@@ -37,36 +38,25 @@ object SingleColumnPipeline {
       spark.sparkContext.parallelize(recs.map { case (id, t) => Row(id, t) }, 8),
       recSchema)
 
+  /** [[Prepare]] with m = 1, then negative rules: learned from the L–L
+    * candidates, applied to the L–R candidates.
+    */
   def prepare(
       spark: SparkSession,
       left: Seq[(Long, String)],
       right: Seq[(Long, String)],
       beta: Double = 1.0,
   ): Prepared = {
-    val dfL = toDF(spark, left)
-    val dfR = toDF(spark, right)
-    val (lrCand, llCand) = Blocking.block(spark, dfL, dfR, beta)
-    val lrRows = lrCand.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2)))
-    val llRows = llCand.select("leftId", "rightId").collect().map(r => (r.getLong(0), r.getLong(1)))
-
+    val t = Prepare(spark, 1, left.map { case (id, s) => (id, Seq(s)) },
+      right.map { case (id, s) => (id, Seq(s)) }, beta)
     val lText = left.toMap
     val rText = right.toMap
-
-    // Negative rules: learned from L–L survivors, applied to L–R survivors.
-    val rules = NegativeRules.learn(llRows.iterator.map { case (a, b) => (lText(a), lText(b)) }.toSeq)
-
-    val lPrepped = left.map { case (id, t) => id -> Prepped(t) }.toMap
-    val rPrepped = right.map { case (id, t) => id -> Prepped(t) }.toMap
-    val ctx = FeatureContext.build(lPrepped.values ++ rPrepped.values)
-
-    val lrPairDf = toPairDF(spark, lrRows.map(t => (t._1, t._2)))
-    val llPairDf = toPairDF(spark, llRows)
-    val lrAll = DistanceTable.compute(spark, lrPairDf, lPrepped, rPrepped, ctx)
-    val llPairs = DistanceTable.compute(spark, llPairDf, lPrepped, lPrepped, ctx)
+    val lrAll = t.lrCols(0)
+    val llPairs = t.llCols(0)
+    val rules = NegativeRules.learn(llPairs.toSeq.map(p => (lText(p.leftId), lText(p.rightId))))
     val lrFiltered = lrAll.filterNot(p => NegativeRules.violates(rules, lText(p.leftId), rText(p.rightId)))
-
-    Prepared(lText, rText, lPrepped, rPrepped, ctx, lrAll, lrFiltered, llPairs, rules,
-             lrRows.map(t => (t._1, t._2) -> t._3).toMap)
+    Prepared(lText, rText, t.lPrepped.view.mapValues(_(0)).toMap, t.rPrepped.view.mapValues(_(0)).toMap,
+      t.ctxs(0), lrAll, lrFiltered, llPairs, rules, t.blockSim)
   }
 
   private val pairSchema = StructType(Seq(

@@ -68,18 +68,28 @@ object MultiColumnHarness {
 
   private def concat(vals: Seq[String]): String = vals.filter(_.nonEmpty).mkString(" ")
 
+  /** The baselines' inputs over a prepared task's L–R candidates: one pair
+    * of concatenated texts and one multi-column feature vector per
+    * candidate, in (leftId, rightId) order because the sampling baselines
+    * (AL, the supervised splits) depend on input order.
+    */
+  private def baselineInputs(
+      task: MultiTask, prep: MultiColumnAutoFJ.PreparedMulti,
+  ): (Vector[CandPair], Vector[Array[Double]]) = {
+    val lVals = task.left.toMap
+    val rVals = task.right.toMap
+    val lr = prep.lrCols(0).sortBy(pd => (pd.leftId, pd.rightId)).toVector
+    (lr.map(pd => CandPair(pd.leftId, pd.rightId, concat(lVals(pd.leftId)), concat(rVals(pd.rightId)))),
+     lr.map(pd => Features.vectorMulti(lVals(pd.leftId), rVals(pd.rightId))))
+  }
+
   def evaluate(spark: SparkSession, task: MultiTask, verbose: Boolean = true): MultiEval = {
     val t0 = System.nanoTime()
     val (p, r, auc, selected, weights, prep) = runAutoFJ(spark, task)
     val gt = task.gt; val gtTotal = task.gtTotal
 
     // Shared candidate pairs (from concat-blocking) for every baseline.
-    val lVals = task.left.toMap
-    val rVals = task.right.toMap
-    val pairs = prep.lrCols(0).map(pd =>
-      CandPair(pd.leftId, pd.rightId, concat(lVals(pd.leftId)), concat(rVals(pd.rightId)))).toVector
-    val featsMulti = timed("features", task.name)(prep.lrCols(0).map(pd =>
-      Features.vectorMulti(lVals(pd.leftId), rVals(pd.rightId))).toVector)
+    val (pairs, featsMulti) = timed("features", task.name)(baselineInputs(task, prep))
 
     def evalScored(s: Seq[Scored]): MethodEval =
       MethodEval(Metrics.adjustedRecall(s, gt, gtTotal, p), Metrics.prAuc(s, gt, gtTotal))
@@ -108,14 +118,7 @@ object MultiColumnHarness {
     // ---- Table 4(b): robustness to random columns ----------------------
     val randTask = MultiColGen.addRandomColumns(task, 2, seed = task.name.hashCode.toLong)
     val (rp, rr, _, _, _, randPrep) = runAutoFJ(spark, randTask)
-    val rPairs = randPrep.lrCols(0).map { pd =>
-      val lv = randTask.left.toMap; val rv = randTask.right.toMap
-      CandPair(pd.leftId, pd.rightId, concat(lv(pd.leftId)), concat(rv(pd.rightId)))
-    }.toVector
-    val rFeats = {
-      val lv = randTask.left.toMap; val rv = randTask.right.toMap
-      randPrep.lrCols(0).map(pd => Features.vectorMulti(lv(pd.leftId), rv(pd.rightId))).toVector
-    }
+    val (rPairs, rFeats) = baselineInputs(randTask, randPrep)
     val randExcelAr = Metrics.adjustedRecall(ExcelFuzzy.run(rPairs), gt, gtTotal, p)
     val randAlAr = Metrics.adjustedRecall(ActiveLearning.run(rPairs, rFeats, gt), gt, gtTotal, p)
 

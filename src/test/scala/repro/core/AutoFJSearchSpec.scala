@@ -104,6 +104,16 @@ class AutoFJSearchSpec extends AnyFunSuite {
     assert(res.scores(100L) == 1.0)
   }
 
+  test("an exact nearest-l tie goes to the smaller leftId in any pair order") {
+    // l5 and l3 are both at 0.1 from r100; the pairs come in two orders.
+    val lr = Seq((5L, 100L, 0.1), (3L, 100L, 0.1), (5L, 101L, 0.3))
+    val ll = Seq((5L, 3L, 0.5), (3L, 5L, 0.5))
+    val a = AutoFJ.search(data1(lr, ll), thetas = Array(0.1, 0.3), tau = 0.0)
+    val b = AutoFJ.search(data1(lr.sortBy(_._1), ll.reverse), thetas = Array(0.1, 0.3), tau = 0.0)
+    assert(a == b)
+    assert(a.assignment(100L) == 3L)
+  }
+
   test("no joinable candidates yields an empty program") {
     // The only pair sits beyond every threshold.
     val res = AutoFJ.search(data1(Seq((0L, 100L, 0.9)), llGrid),

@@ -18,20 +18,20 @@ class FuzzyJoinProgramSpec extends SparkSpec {
   }
 
   test("applying the learned program reproduces the search assignment") {
-    val task = Benchmarks.tiny(seed = 21)
-    val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
-    val res = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
-    val prog = FuzzyJoinProgram(res.program, prepared.rules)
-    val out = prog(spark, SingleColumnPipeline.toDF(spark, task.left),
-      SingleColumnPipeline.toDF(spark, task.right))
-      .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
-    // First-config-wins application vs confidence-resolved search: the two
-    // agree except where a later config re-claimed a conflicted r.
-    val agree = res.assignment.count { case (r, l) => out.get(r).contains(l) }
-    assert(out.size >= res.assignment.size,
-      "the program joins at least the records the search joined")
-    assert(agree >= (res.assignment.size * 0.9).toInt,
-      s"only $agree/${res.assignment.size} assignments agree")
+    // Search and apply both break nearest-l ties by the smaller leftId, and
+    // on these tasks their conflict resolutions agree, so applying the
+    // program to its own training data gives exactly the search's joins.
+    for (seed <- Seq(21L, 31L)) {
+      val task = Benchmarks.tiny(seed = seed)
+      val prepared = SingleColumnPipeline.prepare(spark, task.left, task.right)
+      val res = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
+      val prog = FuzzyJoinProgram(res.program, prepared.rules)
+      val out = prog(spark, SingleColumnPipeline.toDF(spark, task.left),
+        SingleColumnPipeline.toDF(spark, task.right))
+        .collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
+      assert(res.assignment.nonEmpty)
+      assert(out == res.assignment, s"tiny($seed): apply and search disagree")
+    }
   }
 
   test("single-config program matches the SQL argmin-within-theta semantics (DuckDB oracle)") {

@@ -68,4 +68,15 @@ class SearchDataSpec extends AnyFunSuite {
     val d = SearchData.fromSingle(lr, ll, Array(0))
     assert(d.lIds.toSet == Set(10L, 11L, 12L))
   }
+
+  test("dense indices follow ascending id order, whatever the pair order") {
+    val lr = Array(pd(12, 101, 0.1), pd(10, 100, 0.2), pd(11, 101, 0.3))
+    val ll = Array(pd(13, 10, 0.5), pd(10, 13, 0.5))
+    val d = SearchData.fromSingle(lr, ll, Array(0))
+    assert(d.lIds.toSeq == Seq(10L, 11L, 12L, 13L))
+    assert(d.rIds.toSeq == Seq(100L, 101L))
+    assert(d.lrLeft.map(d.lIds).toSeq == Seq(12L, 10L, 11L))
+    assert(d.lrRight.map(d.rIds).toSeq == Seq(101L, 100L, 101L))
+    assert(d.llRight.map(d.lIds).toSeq == Seq(10L, 13L))
+  }
 }
