@@ -36,9 +36,6 @@ object MultiColumnHarness {
   val BaselineNames: Vector[String] =
     Vector("Excel", "FW", "ZeroER", "ECM", "PP", "Magellan", "DM", "AL")
 
-  /** AutoFJ multi-column quality on one task: (P, R, PR-AUC, selected,
-    * weights).
-    */
   private def timed[A](label: String, taskName: String)(f: => A): A = {
     val t0 = System.nanoTime()
     val out = f
@@ -46,6 +43,9 @@ object MultiColumnHarness {
     out
   }
 
+  /** AutoFJ multi-column quality on one task: (P, R, PR-AUC, selected,
+    * weights, prepared task).
+    */
   private def runAutoFJ(
       spark: SparkSession, task: MultiTask,
   ): (Double, Double, Double, Vector[Int], Array[Double], MultiColumnAutoFJ.PreparedMulti) = {
@@ -58,9 +58,7 @@ object MultiColumnHarness {
     val auc = timed("prcurve", task.name) {
       val data = SearchData.fromColumns(prep.lrCols, prep.llCols,
         ConfigSpace.full.map(_.id).toArray, res.weights)
-      val unbounded = AutoFJ.search(data, ConfigSpace.thresholds(Steps), tau = 0.0)
-      Metrics.prAuc(
-        unbounded.scores.toVector.map { case (rid, s) => Scored(rid, unbounded.assignment(rid), s) },
+      SingleColumnHarness.prAuc(AutoFJ.search(data, ConfigSpace.thresholds(Steps), tau = 0.0),
         task.gt, task.gtTotal)
     }
     (p, r, auc, res.selected, res.weights, prep)

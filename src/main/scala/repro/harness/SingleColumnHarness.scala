@@ -56,8 +56,11 @@ object SingleColumnHarness {
     val gtTotal = task.gtTotal
     val fullFids = ConfigSpace.full.map(_.id).toArray
 
-    // ---- AutoFJ main run (τ = 0.9) + PEPCC/RERCC over iterations -------
-    val main = SingleColumnPipeline.autoFJ(prepared, Tau, gt = gt, gtTotal = gtTotal)
+    // ---- AutoFJ: one unbounded run gives the PR-curve scores, and its ---
+    // prefix up to τ = 0.9 the main result and the PEPCC/RERCC traces.
+    val unbounded = SingleColumnPipeline.autoFJ(prepared, tau = 0.0, gt = gt, gtTotal = gtTotal)
+    val autoPrAuc = prAuc(unbounded, gt, gtTotal)
+    val main = unbounded.upTo(Tau)
     val (autoP, autoR) = Metrics.precisionRecall(main.assignment, gt, gtTotal)
     // Correlation over iterations is NA (the paper's footnote) when the
     // greedy terminates too quickly or the actual series is flat — a
@@ -73,32 +76,22 @@ object SingleColumnHarness {
     val pepcc = corrOrNa(main.trace.map(_.estPrecision), main.trace.map(_.actPrecision))
     val rercc = corrOrNa(main.trace.map(_.estTP), main.trace.map(_.actRecall))
 
-    // ---- Unbounded run: per-pair confidence scores → AutoFJ PR curve ---
-    val unbounded = SingleColumnPipeline.autoFJ(prepared, tau = 0.0, gt = gt, gtTotal = gtTotal)
-    val autoScored = unbounded.scores.toVector.map { case (r, s) =>
-      Scored(r, unbounded.assignment(r), s)
-    }
-    val autoPrAuc = Metrics.prAuc(autoScored, gt, gtTotal)
-
     // ---- Ablations ------------------------------------------------------
     // AutoFJ-UC: the best single configuration (max estimated TP subject to
     // the precision target).
     val ucR = {
       val data = SearchData.fromSingle(prepared.lrFiltered, prepared.llPairs, fullFids)
-      val res = bestSingleConfig(data, ConfigSpace.thresholds(Steps), Tau)
-      Metrics.precisionRecall(res, gt, gtTotal)._2
+      val res = AutoFJ.searchOneConfig(data, ConfigSpace.thresholds(Steps), Tau)
+      Metrics.precisionRecall(res.fold(Map.empty[Long, Long])(_.assignment), gt, gtTotal)._2
     }
     // AutoFJ-NR: full greedy without negative rules.
     val nrRes = SingleColumnPipeline.autoFJ(prepared, Tau, negativeRules = false, gt = gt, gtTotal = gtTotal)
     val nrR = Metrics.precisionRecall(nrRes.assignment, gt, gtTotal)._2
 
     // ---- Reduced 24-configuration space (Table 6 / Table 5 last col) ---
-    val r24 = SingleColumnPipeline.autoFJ(prepared, Tau, fids = ConfigSpace.reduced24.toArray,
-      gt = gt, gtTotal = gtTotal)
-    val (p24, rec24) = Metrics.precisionRecall(r24.assignment, gt, gtTotal)
     val r24u = SingleColumnPipeline.autoFJ(prepared, tau = 0.0, fids = ConfigSpace.reduced24.toArray)
-    val auto24PrAuc = Metrics.prAuc(
-      r24u.scores.toVector.map { case (r, s) => Scored(r, r24u.assignment(r), s) }, gt, gtTotal)
+    val (p24, rec24) = Metrics.precisionRecall(r24u.upTo(Tau).assignment, gt, gtTotal)
+    val auto24PrAuc = prAuc(r24u, gt, gtTotal)
 
     // ---- UBR ------------------------------------------------------------
     val ubr = StaticBaselines.upperBoundRecall(prepared.lrAll, gt, gtTotal)
@@ -155,11 +148,11 @@ object SingleColumnHarness {
       autoP, autoR, autoPrAuc, ucR, nrR, p24, rec24, auto24PrAuc, bsjAr, bsjAuc, methods)
   }
 
-  /** AutoFJ-UC: the single best configuration (exhaustive pick, Eq. 13). */
-  def bestSingleConfig(data: SearchData, thetas: Array[Double], tau: Double): Map[Long, Long] = {
-    val res = AutoFJ.searchOneConfig(data, thetas, tau)
-    if (res == null) Map.empty else res.assignment
-  }
+  /** PR-AUC of an unbounded AutoFJ run: its per-join precision estimates
+    * are the confidence scores.
+    */
+  def prAuc(res: AutoFJ.Result, gt: Map[Long, Long], gtTotal: Int): Double = Metrics.prAuc(
+    res.scores.toVector.map { case (r, s) => Scored(r, res.assignment(r), s) }, gt, gtTotal)
 
   /** BSJ selection across datasets: the function with the best mean AR. */
   def bestStaticFunction(evals: Seq[TaskEval]): Int = {

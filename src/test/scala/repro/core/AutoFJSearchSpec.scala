@@ -64,6 +64,17 @@ class AutoFJSearchSpec extends AnyFunSuite {
     assert(math.abs(res.estPrecision - 0.75) < 1e-9)
   }
 
+  test("upTo cuts the unbounded run before the first step with newPrec <= tau") {
+    // The unsafe join's newPrec is (1 + 0.5) / 2 = 0.75 exactly.
+    val d = data1(lrGrid, llGrid)
+    val unbounded = AutoFJ.search(d, thetas = Array(0.02, 0.05), tau = 0.0)
+    assert(unbounded.steps.map(_.newPrec) == Vector(1.0, 0.75))
+    val bounded = AutoFJ.search(d, thetas = Array(0.02, 0.05), tau = 0.75)
+    assert(bounded.program.size == 1)
+    assert(unbounded.upTo(0.75) == bounded)
+    assert(unbounded.upTo(0.7) == unbounded)
+  }
+
   test("each r joins its closest l (Eq. 1)") {
     val lr = Seq((0L, 100L, 0.3), (1L, 100L, 0.1), (2L, 100L, 0.5))
     val res = AutoFJ.search(data1(lr, llGrid), thetas = Array(0.5), tau = 0.0)
@@ -130,16 +141,16 @@ class AutoFJSearchSpec extends AnyFunSuite {
   test("searchOneConfig picks the max-TP config meeting the target") {
     val d = data1(lrGrid, llGrid)
     val res = AutoFJ.searchOneConfig(d, thetas = Array(0.02, 0.05), tau = 0.9)
-    assert(res != null)
-    assert(res.assignment == Map(100L -> 0L))
-    assert(res.program.size == 1)
+    assert(res.isDefined)
+    assert(res.get.assignment == Map(100L -> 0L))
+    assert(res.get.program.size == 1)
   }
 
-  test("searchOneConfig returns null when nothing meets the target") {
+  test("searchOneConfig returns None when nothing meets the target") {
     // Only the unsafe pair exists: precision 0.5 < 0.9 everywhere.
     val lr = Seq((0L, 101L, 0.049), (1L, 101L, 0.051))
     val res = AutoFJ.searchOneConfig(data1(lr, llGrid), thetas = Array(0.05), tau = 0.9)
-    assert(res == null)
+    assert(res.isEmpty)
   }
 
   test("searchOneConfig with tau=0 joins through the best single config") {
@@ -147,8 +158,8 @@ class AutoFJSearchSpec extends AnyFunSuite {
     // a tie, resolved to the first (smaller θ) config deterministically.
     val d = data1(lrGrid, llGrid)
     val res = AutoFJ.searchOneConfig(d, thetas = Array(0.02, 0.05), tau = 0.0)
-    assert(res != null && res.assignment.nonEmpty)
-    assert(math.abs(res.estTP - 1.0) < 1e-9)
+    assert(res.exists(_.assignment.nonEmpty))
+    assert(math.abs(res.get.estTP - 1.0) < 1e-9)
   }
 
   test("deterministic: same input, same program") {

@@ -77,6 +77,20 @@ class PipelineSpec extends SparkSpec {
     assert(fpRate <= 0.08, f"false-positive rate $fpRate%.3f too high on unrelated tables")
   }
 
+  test("a tau-bounded run is upTo(tau) of the unbounded run") {
+    def fields(r: AutoFJ.Result) = (r.program, r.assignment, r.scores, r.trace, r.estPrecision, r.estTP)
+    for (seed <- Seq(21L, 31L)) {
+      val t = Benchmarks.tiny(seed = seed)
+      val prep = if (seed == 31L) prepared else SingleColumnPipeline.prepare(spark, t.left, t.right)
+      val unbounded = SingleColumnPipeline.autoFJ(prep, 0.0, gt = t.gt, gtTotal = t.gtTotal)
+      for (tau <- Seq(0.5, 0.7, 0.8, 0.9, 0.95)) {
+        val bounded = SingleColumnPipeline.autoFJ(prep, tau, gt = t.gt, gtTotal = t.gtTotal)
+        assert(fields(unbounded.upTo(tau)) == fields(bounded), s"tiny($seed) tau = $tau")
+      }
+      assert(unbounded.upTo(0.95).program.size < unbounded.program.size, s"tiny($seed) cut")
+    }
+  }
+
   test("unbounded run joins at least as much as the tau-bounded run") {
     val bounded = SingleColumnPipeline.autoFJ(prepared, tau = 0.9)
     val unbounded = SingleColumnPipeline.autoFJ(prepared, tau = 0.0)
